@@ -192,6 +192,14 @@ class AggregationChannel {
     return deadline;
   }
 
+  /// Hands SAAW the engine's measured host cost of one wire frame
+  /// (LpContext::frame_cost_us); nullopt keeps the configured weights.
+  void set_frame_cost_us(std::optional<double> cost_us) noexcept {
+    if (controller_) {
+      controller_->set_frame_cost_us(cost_us);
+    }
+  }
+
   /// Current window in microseconds (fixed for FAW, adapted for SAAW).
   [[nodiscard]] double window_us() const noexcept {
     return controller_ ? controller_->window_us() : config_.window_us;

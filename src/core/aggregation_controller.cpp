@@ -1,6 +1,7 @@
 #include "otw/core/aggregation_controller.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "otw/util/assert.hpp"
 
@@ -58,11 +59,21 @@ double AggregationWindowController::on_aggregate_sent(std::size_t message_count,
     } else {
       rate_ewma_ += config_.rate_alpha * (rate - rate_ewma_);
     }
-    // Optimum of AOF - APF at arrival rate lambda:
-    //   d/dW [lambda W benefit - penalty W^2] = 0  =>
-    //   W* = lambda benefit / (2 penalty).
-    const double target =
-        rate_ewma_ * config_.benefit_per_message / (2.0 * config_.age_penalty);
+    double target = 0.0;
+    if (frame_cost_us_) {
+      // Host-time optimum (header): W* = sqrt(2c / lambda), or the floor
+      // when traffic is too sparse for an aggregate to fill.
+      const double optimum = std::sqrt(2.0 * *frame_cost_us_ / rate_ewma_);
+      const bool sparse = message_count == 1 && age_us >= window_us_ &&
+                          rate_ewma_ * optimum < 1.0;
+      target = sparse ? config_.min_window_us : optimum;
+    } else {
+      // Optimum of AOF - APF at arrival rate lambda:
+      //   d/dW [lambda W benefit - penalty W^2] = 0  =>
+      //   W* = lambda benefit / (2 penalty).
+      target =
+          rate_ewma_ * config_.benefit_per_message / (2.0 * config_.age_penalty);
+    }
     window_us_ += config_.tracking_gain * (target - window_us_);
     window_us_ =
         std::clamp(window_us_, config_.min_window_us, config_.max_window_us);

@@ -24,10 +24,28 @@
 // A literal-transcription variant (compare raw age-discounted rates, no
 // direction memory) is kept for the ablation bench; under steady load it
 // limit-cycles around W_initial, which is why the score form is the default.
+//
+// The weights above are unitless and only mean something under a modeled
+// cost (simulated NOW). On a wall-clock transport the engine measures the
+// host cost c of one wire frame (set_frame_cost_us), and RateTracking weighs
+// gain and harm in that one unit, host microseconds: a window W over uniform
+// arrivals at rate lambda avoids (lambda W - 1) frames worth c each and adds
+// lambda W^2 / 2 of waiting, so the net gain per microsecond is
+//
+//   lambda c - c / W - lambda W / 2,   maximal at W* = sqrt(2 c / lambda).
+//
+// As lambda falls W* grows. Traffic is too sparse for an aggregate to fill
+// when an aggregate expires holding a single message and, at the estimated
+// rate, even W* would not catch a second one (lambda W* < 1); such a flush
+// targets min_window_us instead, so under sparse traffic W falls to its
+// floor rather than growing. Both signals must agree: an LP emits its sends
+// in bursts (one step's batch), which the mean rate alone understates, and a
+// lone expired aggregate alone would pin a too-small window at the floor.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 namespace otw::core {
 
@@ -36,8 +54,9 @@ enum class SaawVariant : std::uint8_t {
   /// Astrom & Wittenmark reference). Estimate the arrival rate lambda from
   /// (message count, elapsed time since the previous flush), smooth it with
   /// an EWMA, and move the window toward the optimum of the AOF-APF balance,
-  /// W* = lambda * benefit / (2 * penalty). Converges from any initial
-  /// window and tracks bursts, which is what Figures 8-9 require of SAAW.
+  /// W* = lambda * benefit / (2 * penalty), or W* = sqrt(2 c / lambda) when
+  /// a frame cost c is measured. Converges from any initial window and
+  /// tracks bursts, which is what Figures 8-9 require of SAAW.
   RateTracking,
   /// Direction-memory hill-climb on the per-aggregate AOF-APF score.
   /// Simple, but noise-dominated near the optimum (kept for the ablation).
@@ -56,8 +75,11 @@ struct AggregationControlConfig {
   /// Multiplicative step applied by one hill-climb move.
   double step_factor = 1.25;
   /// AOF weight: benefit of one avoided physical message (score units).
+  /// RateTracking uses it only where no frame cost is measured; the
+  /// ablation variants always use it.
   double benefit_per_message = 1.0;
-  /// APF weight applied to age^2 (score units per us^2).
+  /// APF weight applied to age^2 (score units per us^2). Same scope as
+  /// benefit_per_message.
   double age_penalty = 2.0e-6;
   /// Age scale for the PaperLiteral rate discount 1 / (1 + age / ref).
   double age_reference_us = 100.0;
@@ -85,6 +107,13 @@ class AggregationWindowController {
   double on_aggregate_sent(std::size_t message_count, double age_us,
                            double elapsed_us = 0.0);
 
+  /// Host cost of one wire frame in microseconds, as measured by the
+  /// engine, or nullopt where none is measured. Applies to the next
+  /// RateTracking adaptation; the ablation variants ignore it.
+  void set_frame_cost_us(std::optional<double> cost_us) noexcept {
+    frame_cost_us_ = cost_us;
+  }
+
   /// RateTracking: current smoothed arrival-rate estimate (messages/us).
   [[nodiscard]] double rate_estimate() const noexcept { return rate_ewma_; }
 
@@ -107,6 +136,7 @@ class AggregationWindowController {
   int direction_ = +1;
   double rate_ewma_ = 0.0;
   bool rate_primed_ = false;
+  std::optional<double> frame_cost_us_;
   std::uint64_t adaptations_ = 0;
 };
 

@@ -189,6 +189,24 @@ struct PeerLink {
   [[nodiscard]] bool out_pending() const noexcept { return out_pos < out.size(); }
 };
 
+/// Host time this shard spends moving LP frames: encode plus socket write
+/// per frame sent, socket read plus decode per frame received. Its per-frame
+/// sum is LpContext::frame_cost_us, what one avoided frame saves.
+struct FrameCost {
+  std::uint64_t send_ns = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t recv_ns = 0;
+  std::uint64_t received = 0;
+
+  /// Microseconds per frame; 0 until a frame has been timed.
+  [[nodiscard]] double us() const noexcept {
+    const auto per = [](std::uint64_t ns, std::uint64_t n) {
+      return n > 0 ? static_cast<double>(ns) / static_cast<double>(n) : 0.0;
+    };
+    return (per(send_ns, sent) + per(recv_ns, received)) / 1000.0;
+  }
+};
+
 /// Everything one worker process accumulates and ships home in its RESULT.
 struct ShardTotals {
   std::uint64_t steps = 0;
@@ -268,6 +286,8 @@ class ShardDriver {
 
   void send_remote(LpId src, LpId dst, const EngineMessage& msg);
 
+  [[nodiscard]] double frame_cost_us() const noexcept { return frame_cost_.us(); }
+
   [[nodiscard]] const std::vector<std::uint32_t>& owners() const noexcept {
     return owners_;
   }
@@ -301,6 +321,9 @@ class ShardDriver {
   void forward_frame(const std::uint8_t* frame, const FrameHeader& header);
   void idle_wait();
   void maybe_send_stats();
+  /// recv(2) that books the time of every call that returned bytes as
+  /// frame-receive cost.
+  ssize_t timed_recv(int fd, std::uint8_t* buf, std::size_t len);
 
   class Context;
 
@@ -334,6 +357,7 @@ class ShardDriver {
   bool finish_received_ = false;
   std::vector<std::uint8_t> in_buf_;   ///< unparsed coordinator-stream bytes
   std::vector<std::uint8_t> scratch_;  ///< payload encode buffer
+  FrameCost frame_cost_;
 
   // --- fault tolerance (DESIGN.md section 8c) ---
   bool fault_ = false;
@@ -432,6 +456,10 @@ class ShardDriver::Context final : public LpContext {
     lp_.wake_hint_ns = std::min(lp_.wake_hint_ns, abs_ns);
   }
 
+  [[nodiscard]] std::optional<double> frame_cost_us() const noexcept override {
+    return driver_.frame_cost_us();
+  }
+
   [[nodiscard]] const CostModel& costs() const noexcept override {
     return driver_.config_.costs;
   }
@@ -465,6 +493,7 @@ void ShardDriver::send_remote(LpId src, LpId dst, const EngineMessage& msg) {
   header.dst_lp = dst;
   header.send_ns = aligned_now_ns();
   ++snap_sent_;
+  const std::uint64_t t1 = mono_ns();
   if (mesh_ && !msg.wire_control()) {
     // Data plane: one hop on the direct (src,dst) peer link. A dead peer's
     // frames accumulate in the queue and are discarded with the incarnation
@@ -477,6 +506,8 @@ void ShardDriver::send_remote(LpId src, LpId dst, const EngineMessage& msg) {
     // transits the coordinator, which keeps RelayResidency attribution.
     send_frame(fd_, header, scratch_.data());
   }
+  frame_cost_.send_ns += encode_ns + (mono_ns() - t1);
+  ++frame_cost_.sent;
 
   ++totals_.dist.frames_sent;
   totals_.dist.bytes_sent += kFrameHeaderBytes + scratch_.size();
@@ -564,6 +595,8 @@ void ShardDriver::route_inbound(const std::uint8_t* frame,
   auto msg = WireRegistry::instance().decode(header.tag, reader);
   const std::uint64_t decode_ns = mono_ns() - t0;
   totals_.dist.deserialize_ns += decode_ns;
+  frame_cost_.recv_ns += decode_ns;
+  ++frame_cost_.received;
   OTW_REQUIRE_MSG(reader.done(), "trailing bytes after wire payload");
 
   ++totals_.dist.frames_received;
@@ -1110,11 +1143,20 @@ void ShardDriver::handle_peer_frame(std::uint32_t peer,
   route_inbound(frame, header, peer);
 }
 
+ssize_t ShardDriver::timed_recv(int fd, std::uint8_t* buf, std::size_t len) {
+  const std::uint64_t t0 = mono_ns();
+  const ssize_t n = ::recv(fd, buf, len, 0);
+  if (n > 0) {
+    frame_cost_.recv_ns += mono_ns() - t0;
+  }
+  return n;
+}
+
 void ShardDriver::drain_socket() {
   // Pull whatever is available without blocking, then parse complete frames.
   std::uint8_t chunk[16384];
   for (;;) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+    const ssize_t n = timed_recv(fd_, chunk, sizeof chunk);
     if (n > 0) {
       in_buf_.insert(in_buf_.end(), chunk, chunk + n);
       continue;
@@ -1155,7 +1197,7 @@ void ShardDriver::drain_links() {
     }
     bool dead = false;
     for (;;) {
-      const ssize_t n = ::recv(link.fd, chunk, sizeof chunk, 0);
+      const ssize_t n = timed_recv(link.fd, chunk, sizeof chunk);
       if (n > 0) {
         link.in.insert(link.in.end(), chunk, chunk + n);
         continue;
@@ -1237,23 +1279,21 @@ void ShardDriver::idle_wait() {
   // or the earliest self-requested wakeup, capped at idle_poll_us. An armed
   // STATS deadline also caps the sleep: an idle shard must keep reporting,
   // or the coordinator's silent-shard watchdog would see a healthy-but-quiet
-  // worker as dead.
+  // worker as dead. LP wake-ups count only while LPs are stepped: under the
+  // snapshot protocol their hints go stale, and a due one would spin.
   std::uint64_t next_wake = kNever;
   for (const ShardLp& lp : lps_) {
-    if (lp.status != StepStatus::Done) {
+    if (lp.status != StepStatus::Done && snap_mode_ == SnapMode::Run) {
       next_wake = std::min(next_wake, lp.wake_hint_ns);
     }
   }
   if (live_.enabled()) {
     next_wake = std::min(next_wake, next_stats_ns_);
   }
-  std::uint64_t timeout_us = config_.idle_poll_us;
-  if (next_wake != kNever) {
-    const std::uint64_t now = now_ns();
-    timeout_us = next_wake <= now
-                     ? 0
-                     : std::min<std::uint64_t>(timeout_us,
-                                               (next_wake - now) / 1000 + 1);
+  const std::uint64_t timeout_ns =
+      idle_wait_ns(now_ns(), next_wake, config_.idle_poll_us * 1000);
+  if (timeout_ns == 0) {
+    return;  // a wake-up is due: step again at once
   }
   std::vector<pollfd> pfds;
   pfds.push_back({fd_, POLLIN, 0});
@@ -1265,10 +1305,12 @@ void ShardDriver::idle_wait() {
                       0});
     }
   }
-  const int rc = ::poll(pfds.data(), pfds.size(),
-                        static_cast<int>(timeout_us / 1000 + 1));
+  const timespec timeout{
+      static_cast<time_t>(timeout_ns / 1'000'000'000),
+      static_cast<long>(timeout_ns % 1'000'000'000)};
+  const int rc = ::ppoll(pfds.data(), pfds.size(), &timeout, nullptr);
   if (rc < 0 && errno != EINTR) {
-    throw_errno("poll");
+    throw_errno("ppoll");
   }
 }
 
@@ -2463,7 +2505,12 @@ EngineRunResult DistributedEngine::run(const std::vector<LpRunner*>& lps,
                                 to < num_shards,
                             "malformed MIGRATED frame");
             migration_inflight = false;
-            if (accepted != 0) {
+            if (accepted == 0) {
+              // Declined, typically because the LP has not seen its first
+              // GVT yet (no cut to freeze at): decide again at once rather
+              // than a period later, which a short run may not last.
+              next_decide_ns = mono_ns();
+            } else {
               ++result.dist.migrations;
               if (epoch > epochs[lp]) {
                 epochs[lp] = epoch;

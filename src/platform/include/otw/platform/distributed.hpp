@@ -117,6 +117,18 @@ struct DistributedConfig {
   return shard_of_lp(lp, config.num_shards);
 }
 
+/// How long an idle shard worker sleeps, in nanoseconds: until the earliest
+/// wake-up it owes (`next_wake_ns`; UINT64_MAX = none), never longer than
+/// `cap_ns`, and not at all when that wake-up is already due.
+[[nodiscard]] constexpr std::uint64_t idle_wait_ns(std::uint64_t now_ns,
+                                                   std::uint64_t next_wake_ns,
+                                                   std::uint64_t cap_ns) noexcept {
+  if (next_wake_ns <= now_ns) {
+    return 0;
+  }
+  return next_wake_ns - now_ns < cap_ns ? next_wake_ns - now_ns : cap_ns;
+}
+
 /// Implemented by LP runners that can be moved between shards mid-run. The
 /// engine freezes the LP on the source shard (migrate_out serializes its
 /// whole dynamic state into a MIGRATE frame payload; the LP must roll back

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "otw/obs/hist.hpp"
@@ -111,6 +112,15 @@ class LpContext {
   /// — an LP may ignore it; honoring it improves fairness when workers are
   /// outnumbered by LPs.
   [[nodiscard]] virtual bool should_yield() const noexcept { return false; }
+
+  /// Measured host cost of one wire frame, in microseconds: encode plus
+  /// socket write on the sender, socket read plus decode on the receiver.
+  /// It is what message aggregation saves per frame it avoids. nullopt (the
+  /// default) means no measurement: the engine's costs are modeled, or it
+  /// has no wire, and aggregation keeps its configured weights.
+  [[nodiscard]] virtual std::optional<double> frame_cost_us() const noexcept {
+    return std::nullopt;
+  }
 
   /// The platform's cost model (for kernel-level cost charging).
   [[nodiscard]] virtual const struct CostModel& costs() const noexcept = 0;

@@ -471,6 +471,7 @@ bool LogicalProcess::drain() {
 
 platform::StepStatus LogicalProcess::step(platform::LpContext& ctx) {
   ctx_ = &ctx;
+  channel_.set_frame_cost_us(ctx.frame_cost_us());
   struct CtxReset {
     platform::LpContext** slot;
     ~CtxReset() { *slot = nullptr; }

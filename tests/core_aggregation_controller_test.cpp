@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
+
 #include "otw/util/assert.hpp"
 #include "otw/util/rng.hpp"
 
@@ -115,6 +119,79 @@ TEST(AggregationController, HillClimbBouncesOffClamp) {
     max_seen = std::max(max_seen, ctl.window_us());
   }
   EXPECT_GT(max_seen, 2.0);
+}
+
+// Measured path: with a host frame cost c, RateTracking settles at
+// W* = sqrt(2c / lambda) for a steady arrival rate, from either side.
+TEST(AggregationController, MeasuredCostConvergesToSquareRootTarget) {
+  const double lambda = 0.5;  // messages per us
+  const double cost_us = 8.0;
+  const double optimum = std::sqrt(2.0 * cost_us / lambda);
+  ASSERT_NEAR(optimum, 5.657, 1e-3);
+  for (const double initial : {1.0, 64.0, 2'000.0}) {
+    AggregationWindowController ctl(config_with(initial, SaawVariant::RateTracking));
+    ctl.set_frame_cost_us(cost_us);
+    for (int i = 0; i < 200; ++i) {
+      // An aggregate holds what arrived in one window; the span since the
+      // previous flush is that count at the steady rate.
+      const double count = std::max(1.0, std::round(lambda * ctl.window_us()));
+      ctl.on_aggregate_sent(static_cast<std::size_t>(count), ctl.window_us(),
+                            count / lambda);
+    }
+    EXPECT_NEAR(ctl.rate_estimate(), lambda, 1e-9) << "start=" << initial;
+    EXPECT_NEAR(ctl.window_us(), optimum, 0.01 * optimum) << "start=" << initial;
+  }
+}
+
+// Measured path: when lambda * c <= 2 an aggregate cannot fill enough to pay
+// for the wait, so the window falls to its floor instead of growing as
+// sqrt(2c / lambda) would.
+TEST(AggregationController, MeasuredCostSparseTrafficFallsToMinimum) {
+  auto cfg = config_with(64.0, SaawVariant::RateTracking);
+  cfg.min_window_us = 1.0;
+  AggregationWindowController ctl(cfg);
+  ctl.set_frame_cost_us(8.0);
+  for (int i = 0; i < 200; ++i) {
+    ctl.on_aggregate_sent(1, ctl.window_us(), 400.0);  // lambda = 0.0025/us
+  }
+  EXPECT_NEAR(ctl.window_us(), 1.0, 1e-6);
+  // A zero cost (nothing timed yet) never holds messages either.
+  ctl.set_frame_cost_us(0.0);
+  ctl.on_aggregate_sent(50, 1.0, 1.0);
+  EXPECT_NEAR(ctl.window_us(), 1.0, 1e-6);
+}
+
+// Unmeasured path: without a frame cost the trajectory over a recorded
+// observation sequence is bit-identical to the configured-weights update
+// below (the reference the simulated-NOW figures were produced with).
+TEST(AggregationController, UnmeasuredPathKeepsConfiguredWeightsBitForBit) {
+  AggregationControlConfig cfg;
+  cfg.initial_window_us = 100.0;
+  cfg.benefit_per_message = 500.0;
+  cfg.age_penalty = 2.5e-4;
+  AggregationWindowController ctl(cfg);
+  ctl.set_frame_cost_us(std::nullopt);
+
+  double window = cfg.initial_window_us;
+  double rate = 0.0;
+  bool primed = false;
+  util::Xoshiro256 rng(7);
+  for (int i = 0; i < 500; ++i) {
+    const auto count = static_cast<std::size_t>(1 + rng.next_below(40));
+    const double age = rng.next_double() * 300.0;
+    const double elapsed = i % 7 == 0 ? 0.0 : age + rng.next_double() * 900.0;
+
+    const double span = std::max(elapsed > 0.0 ? elapsed : age, 1e-3);
+    const double observed = static_cast<double>(count) / span;
+    rate = primed ? rate + cfg.rate_alpha * (observed - rate) : observed;
+    primed = true;
+    const double target =
+        rate * cfg.benefit_per_message / (2.0 * cfg.age_penalty);
+    window = std::clamp(window + cfg.tracking_gain * (target - window),
+                        cfg.min_window_us, cfg.max_window_us);
+
+    ASSERT_EQ(ctl.on_aggregate_sent(count, age, elapsed), window) << "step " << i;
+  }
 }
 
 // Convergence property of the default SAAW transfer: from any initial

@@ -369,6 +369,49 @@ TEST_P(MigrationParity, ForcedMigrationMatchesSequential) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MigrationParity,
                          ::testing::Range<std::uint64_t>(0, 8));
 
+/// Adaptive aggregation on the mesh weighs its window in measured host time
+/// (the shard's cost of one wire frame), so the window stays in the
+/// microsecond range the transport works in: the run commits the sequential
+/// digests, every LP's mean window stays below a millisecond, and the wire
+/// still carries fewer data frames than the same run unaggregated. (Forks;
+/// name must dodge the tsan-stress filter.)
+TEST(MeshDyma, AdaptiveWindowStaysInHostMicroseconds) {
+  apps::phold::PholdConfig app;
+  app.num_objects = 32;
+  app.num_lps = 4;
+  app.population_per_object = 4;
+  app.remote_probability = 0.5;
+  app.mean_delay = 100;
+  app.event_grain_ns = 2'000;
+  app.seed = 9;
+  const Model model = apps::phold::build_model(app);
+  KernelConfig kc;
+  kc.num_lps = app.num_lps;
+  kc.end_time = VirtualTime{6'000};
+  kc.batch_size = 16;
+  kc.gvt_period_events = 256;
+  kc.engine.topology = platform::Topology::Mesh;
+  kc.optimism.mode = KernelConfig::Optimism::Mode::Static;
+  kc.optimism.window = 200;
+  kc.aggregation.window_us = 64.0;
+  const SequentialResult seq = run_sequential(model, kc.end_time);
+
+  kc.aggregation.policy = comm::AggregationPolicy::Adaptive;
+  const RunResult dyma = run(model, kc.with_engine(EngineKind::Distributed, 2));
+  expect_matches(dyma, seq, "mesh dyma");
+  for (LpId lp = 0; lp < app.num_lps; ++lp) {
+    const LpStats& stats = dyma.stats.lps[lp];
+    ASSERT_GT(stats.aggregates_sent, 0u) << "lp " << lp;
+    EXPECT_LT(stats.aggregation_window_us.mean(), 1'000.0) << "lp " << lp;
+  }
+
+  kc.aggregation.policy = comm::AggregationPolicy::None;
+  const RunResult none = run(model, kc.with_engine(EngineKind::Distributed, 2));
+  expect_matches(none, seq, "mesh unaggregated");
+  EXPECT_LT(dyma.dist.frames_sent - dyma.dist.gvt_token_frames,
+            none.dist.frames_sent - none.dist.gvt_token_frames);
+}
+
 /// Digest neutrality of the attribution plane on the in-process engines:
 /// histograms on, histograms off and flight-recorder-armed legs must all
 /// reproduce the sequential digests on every seed. Lives in its own
